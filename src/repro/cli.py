@@ -41,7 +41,7 @@ from .core import DeepMapping, DeepMappingConfig
 from .data import ColumnTable, crop, synthetic, tpcds, tpch
 from .lifecycle import LifecycleConfig, POLICY_NAMES
 from .shard import ShardedDeepMapping, ShardingConfig
-from .store import EXECUTOR_NAMES, build_store, open_store, warn_once
+from .store import EXECUTOR_NAMES, build_store, open_store
 
 __all__ = ["main", "load_dataset"]
 
@@ -92,17 +92,8 @@ def _config_from_args(args: argparse.Namespace) -> DeepMappingConfig:
 
 def _load_structure(path: str, **open_kwargs) \
         -> Union[DeepMapping, ShardedDeepMapping]:
-    """Open a saved structure, monolithic or sharded, via :func:`repro.open`.
-
-    Bare paths (no ``scheme://``) are the deprecated pre-URL dispatch:
-    they keep working identically but announce the URL form once.
-    """
-    if "://" not in path:
-        warn_once(
-            "cli-path-dispatch",
-            "bare store paths on the CLI are deprecated; address stores by "
-            "URL instead (file:// for local paths, mem://, zip://)",
-        )
+    """Open a saved structure, monolithic or sharded, via :func:`repro.open`
+    (a bare path means ``file://``)."""
     try:
         return open_store(path, **open_kwargs)
     except (FileNotFoundError, ValueError) as exc:

@@ -39,7 +39,6 @@ from ..storage.blob_cache import payload_cache
 from ..storage.buffer_pool import BufferPool
 from ..storage.disk import DiskStore
 from ..storage.stats import StoreStats
-from ..store.deprecation import warn_once
 from ..store.executors import (ExecutorStrategy, SerialStrategy,
                                make_executor)
 from .aux_table import AuxiliaryTable
@@ -378,7 +377,7 @@ class DeepMapping:
 
     Build with :meth:`fit`; query with :meth:`lookup`; mutate with
     :meth:`insert` / :meth:`delete` / :meth:`update`; persist with
-    :meth:`save` / :meth:`load`.
+    :meth:`save` / :meth:`open`.
     """
 
     def __init__(
@@ -1180,29 +1179,6 @@ class DeepMapping:
                                      f"{target!r}") from None
         return cls.from_payload(payload, disk=disk, pool=pool, stats=stats,
                                 aux_name_prefix=aux_name_prefix)
-
-    @classmethod
-    def load(
-        cls,
-        path: str,
-        disk: Optional[DiskStore] = None,
-        pool: Optional[BufferPool] = None,
-        stats: Optional[StoreStats] = None,
-        aux_name_prefix: str = "aux",
-    ) -> "DeepMapping":
-        """Deprecated alias of :meth:`open` (kept for pre-facade callers).
-
-        Emits a ``DeprecationWarning`` once per process; behavior is
-        unchanged.  Use :func:`repro.open` (layout auto-detection, all
-        URL schemes) or :meth:`DeepMapping.open` instead.
-        """
-        warn_once(
-            "DeepMapping.load",
-            "DeepMapping.load() is deprecated; use repro.open(url_or_path) "
-            "or DeepMapping.open() instead",
-        )
-        return cls.open(path, disk=disk, pool=pool, stats=stats,
-                        aux_name_prefix=aux_name_prefix)
 
     # ------------------------------------------------------------------
     # Input normalization

@@ -59,6 +59,13 @@ _SHIP_MODES = np.array(
 _REASONS = np.array([f"reason_{i:02d}" for i in range(35)])
 
 
+#: Per-table seed salt.  These are the values ``hash(table) & 0xFFFF``
+#: took under ``PYTHONHASHSEED=0``, frozen so every process generates
+#: the same rows (``hash`` of a str is salted per process).
+_SEED_SALT = {"customer_demographics": 2447, "catalog_sales": 19462,
+              "catalog_returns": 29196}
+
+
 def _rows(table: str, scale: float) -> int:
     return max(int(round(ROWS_PER_SF[table] * scale)), 10)
 
@@ -67,7 +74,7 @@ def generate(table: str, scale: float = 1.0, seed: int = 0) -> ColumnTable:
     """Generate one TPC-DS table at the given (scaled-down) scale factor."""
     if table not in ROWS_PER_SF:
         raise KeyError(f"unknown TPC-DS table {table!r}; have {TPCDS_TABLES}")
-    rng = np.random.default_rng((seed, hash(table) & 0xFFFF))
+    rng = np.random.default_rng((seed, _SEED_SALT[table]))
     n = _rows(table, scale)
     builder = {
         "customer_demographics": _customer_demographics,

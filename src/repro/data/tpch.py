@@ -54,6 +54,13 @@ _CONTAINERS = np.array(
 _MFGRS = np.array([f"Manufacturer#{i}" for i in range(1, 6)])
 
 
+#: Per-table seed salt.  These are the values ``hash(table) & 0xFFFF``
+#: took under ``PYTHONHASHSEED=0``, frozen so every process generates
+#: the same rows (``hash`` of a str is salted per process).
+_SEED_SALT = {"supplier": 60091, "part": 47908, "customer": 50047,
+              "orders": 19380, "lineitem": 46839}
+
+
 def _rows(table: str, scale: float) -> int:
     count = int(round(ROWS_PER_SF[table] * scale))
     return max(count, 10)
@@ -73,7 +80,7 @@ def generate(table: str, scale: float = 1.0, seed: int = 0) -> ColumnTable:
     """
     if table not in ROWS_PER_SF:
         raise KeyError(f"unknown TPC-H table {table!r}; have {TPCH_TABLES}")
-    rng = np.random.default_rng((seed, hash(table) & 0xFFFF))
+    rng = np.random.default_rng((seed, _SEED_SALT[table]))
     n = _rows(table, scale)
     builder = {
         "supplier": _supplier,

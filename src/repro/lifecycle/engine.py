@@ -28,7 +28,7 @@ models instead of the global fixed spec.
 
 The engine holds a plain reference to its store and calls only public
 surface (``shards``, ``router``, ``split_shard``, ``merge_shards``,
-``_map_jobs``); the store imports this module, not the other way around,
+``executor``); the store imports this module, not the other way around,
 so the layering stays acyclic.
 """
 
@@ -182,7 +182,7 @@ class MaintenanceEngine:
         # Through the store's fan-out pool: one job per due shard, the
         # mutating thread blocks on the batch instead of training inline
         # one shard at a time.
-        events = self.store._map_jobs(rebuild_one, due)
+        events = self.store.executor.map(rebuild_one, due)
         self.n_rebuilds += len(events)
         return events
 

@@ -27,15 +27,18 @@ Batched lookups run through a pipelined, vectorized read path:
    :class:`~repro.store.executors.ExecutorStrategy` (serial, thread
    pool, or free-threading aware; NumPy kernels release the GIL, so
    shard *i* can run inference while shard *j* decompresses aux
-   partitions).  :meth:`lookup_async` schedules the whole batch on the
-   same strategy and returns a future;
+   partitions) under one completion-driven dispatcher (inline, one
+   unit, or one unit per shard; hedges; deadline).
+   :meth:`lookup_async` schedules the whole batch on the same strategy
+   and returns a future;
 3. **streaming assembly** — every job scatters its finished segment
    straight into preallocated output arrays (disjoint positions), so
    there is no serial concatenate-and-permute merge behind a barrier;
    keys owned by an empty shard (or matching no row) are reported as
    per-key misses.  :meth:`lookup_barrier` keeps the pre-pipeline
-   map/merge path as the serial reference — bit-identical by the parity
-   suite, tracked for speedup by ``benchmarks/bench_pipeline.py``.
+   map/merge path as the unpruned reference oracle — bit-identical by
+   the parity suite, tracked for speedup by
+   ``benchmarks/bench_pipeline.py``.
 
 Modifications route the same way: each row is applied to the owning
 shard's auxiliary table, and an insert that targets an empty shard
@@ -63,11 +66,11 @@ import functools
 import os
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from contextlib import nullcontext
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -285,11 +288,12 @@ class ShardedDeepMapping:
         self.pool = pool
         self._value_names = tuple(value_names)
         self._value_dtypes = dict(value_dtypes)
-        #: Executor strategy: shard fan-out goes through ``executor.map``,
-        #: ``lookup_async`` through ``executor.submit``.  A strategy the
-        #: store built itself (config named it, or None) is store-owned;
-        #: an instance supplied via ``ShardingConfig.executor`` stays
-        #: caller-owned and is never closed by :meth:`close`.
+        #: Executor strategy: lookup fan-out goes through ``submit_job``,
+        #: builds through ``map``, ``lookup_async`` through ``submit``.
+        #: A strategy the store built itself (config named it, or None)
+        #: is store-owned; an instance supplied via
+        #: ``ShardingConfig.executor`` stays caller-owned and is never
+        #: closed by :meth:`close`.
         self.executor: ExecutorStrategy = (
             executor if executor is not None
             else make_executor(sharding.executor,
@@ -508,23 +512,25 @@ class ShardedDeepMapping:
         job on the executor strategy, and finished segments stream
         straight into the preallocated output arrays (shard *i* can be
         decompressing aux partitions while shard *j* runs inference;
-        there is no serial merge behind a barrier).  Results are
-        bit-identical to :meth:`lookup_barrier`, the pre-pipeline
-        reference path, which remains available for comparison and for
-        executor strategies without a per-job fan-out lane.
+        there is no serial merge behind a barrier).  One dispatcher runs
+        the jobs (see :meth:`_dispatch` for how it picks inline, one
+        unit, or one unit per shard).  Results are bit-identical to
+        :meth:`lookup_barrier`, the pre-pipeline reference path kept as
+        the parity oracle.
 
         Resilience knobs (see ``docs/resilience.md``):
 
         ``deadline``
             A :class:`~repro.resilience.Deadline` bounding the whole
             call.  Queued shard jobs past the deadline are never started,
-            and the merge stops waiting on stragglers once the budget is
-            gone; what happens to their keys depends on the error mode.
+            and the dispatcher stops waiting on stragglers once the
+            budget is gone; what happens to their keys depends on the
+            error mode.
         ``on_shard_error``
             ``"raise"`` (default, the historical behavior) fails the
-            whole batch on the first shard error.  ``"partial"``
-            isolates the fault: healthy shards' results are returned
-            bit-identical in a
+            whole batch with the lowest failing shard's error.
+            ``"partial"`` isolates the fault: healthy shards' results
+            are returned bit-identical in a
             :class:`~repro.resilience.PartialResult` whose
             ``failed_mask`` marks the keys owned by failing or
             timed-out shards (forced to ``found=False``).  ``None``
@@ -561,12 +567,6 @@ class ShardedDeepMapping:
             # takes the generic path so a failure comes back marked
             # rather than raised.)
             return shards[0].lookup(key_cols)
-        submit_job = getattr(self.executor, "submit_job", None)
-        if submit_job is None:
-            # Custom strategy without a fan-out job lane: barrier path.
-            # It has no per-shard fault boundary, so errors raise
-            # regardless of mode — documented in docs/resilience.md.
-            return self.lookup_barrier(key_cols)
 
         # Manifest-tier miss pruning: consult the store-level and
         # per-shard negative filters before any (shard, key) sort or job
@@ -615,7 +615,7 @@ class ShardedDeepMapping:
                 and not shards[ordinal].hydrated]
         if len(cold) > 1:
             for proxy in cold:
-                submit_job(proxy.hydrate)
+                self.executor.submit_job(proxy.hydrate)
 
         # (ordinal, shard, segment, dest) per non-empty routed group.
         jobs: List[Tuple[int, DeepMapping, Dict[str, np.ndarray],
@@ -692,98 +692,11 @@ class ShardedDeepMapping:
                             shard.fdecode.encoders[c].decode(_ZERO_CODE)[0]
                 out[pruned_pos] = fillers[pruned_ids]
 
-        def run_job(job) -> None:
-            ordinal, shard, segment, dest = job
-            if deadline is not None:
-                deadline.check(f"shard {ordinal} lookup")
-            plan = shard.plan_lookup(segment, presorted=True)
-            plan.execute_into(found_out, values_out, dest)
-
-        shard_errors: Dict[int, BaseException] = {}
-        stragglers = False  # a timed-out job may still be running
-        if len(jobs) <= 1 or (deadline is None and self.hedger is None
-                              and int(order.size) <= _SERIAL_DISPATCH_MAX):
-            # Tiny dispatches (often: a heavily pruned batch) run their
-            # jobs inline — thread hand-off costs more than the work.
-            # Deadline-bounded calls keep the executor lane so a
-            # straggling shard can be timed out rather than waited on.
-            for job in jobs:
-                try:
-                    run_job(job)
-                except Exception as exc:
-                    if mode == "raise":
-                        raise
-                    shard_errors[job[0]] = exc
-        else:
-            def submit_one(job):
-                if deadline is None:
-                    return submit_job(run_job, job)
-                try:
-                    return submit_job(run_job, job, deadline=deadline)
-                except TypeError:
-                    # Custom strategy whose submit_job() lacks the
-                    # deadline capability (pre-resilience signature):
-                    # the per-job check still honors the budget.
-                    return submit_job(run_job, job)
-
-            if self.hedger is not None:
-                # Completion-driven wait with backup attempts for
-                # stragglers; the trailing raise below still applies.
-                stragglers = self._hedged_wait(jobs, submit_one, deadline,
-                                               shard_errors)
-                futures = []
-            elif (deadline is not None
-                  and int(order.size) <= _SERIAL_DISPATCH_MAX):
-                # Small deadline-armed dispatches take a single executor
-                # hand-off for the whole job set: per-shard submission
-                # costs one thread wake-up per shard, which dominates
-                # sub-millisecond jobs and lands squarely on the
-                # healthy-path p50 the resilience layer promises not to
-                # move.  The caller still waits with a timeout, so a
-                # wedged shard is classified a straggler instead of
-                # blocking past the budget.
-                stragglers = self._bundled_wait(jobs, run_job, submit_job,
-                                                deadline, shard_errors)
-                futures = []
-            else:
-                futures = [(job, submit_one(job)) for job in jobs]
-            for job, future in futures:
-                ordinal = job[0]
-                try:
-                    if deadline is None:
-                        future.result()
-                    else:
-                        future.result(timeout=max(0.0, deadline.remaining()))
-                except DeadlineExceeded as exc:
-                    # Raised *inside* the job (the executor's dequeue
-                    # gate, or the per-job check) — the job is finished
-                    # and wrote nothing, so it is a clean failure, not a
-                    # straggler.  Must precede the FutureTimeoutError
-                    # arm: DeadlineExceeded is a TimeoutError subclass.
-                    shard_errors[ordinal] = exc
-                except FutureTimeoutError as exc:
-                    if future.done():
-                        # On 3.11+ FutureTimeoutError aliases builtin
-                        # TimeoutError, so this arm also sees a plain
-                        # TimeoutError raised *inside* a finished job
-                        # (e.g. a backend socket timeout).  That is an
-                        # ordinary shard failure, not a straggler.
-                        shard_errors[ordinal] = exc
-                        continue
-                    # Budget exhausted while this shard still runs.  The
-                    # job either never starts (the executor's dequeue
-                    # gate fails it) or finishes late into arrays we are
-                    # about to stop sharing (see the copy below).
-                    future.cancel()
-                    stragglers = True
-                    shard_errors[ordinal] = DeadlineExceeded(
-                        f"shard {ordinal} lookup exceeded its deadline")
-                except Exception as exc:
-                    shard_errors[ordinal] = exc
-            if shard_errors and mode == "raise":
-                # Deterministic choice: lowest failing ordinal wins.
-                raise shard_errors[min(shard_errors)]
-
+        shard_errors, stragglers = self._dispatch(
+            jobs, found_out, values_out, deadline, int(order.size))
+        if shard_errors and mode == "raise":
+            # Deterministic choice: lowest failing ordinal wins.
+            raise shard_errors[min(shard_errors)]
         if not shard_errors:
             return LookupResult(found=found_out, values=values_out)
 
@@ -792,9 +705,8 @@ class ShardedDeepMapping:
             if job[0] in shard_errors:
                 failed[job[3]] = True
         if stragglers:
-            # A timed-out shard job holds references to these arrays and
-            # may scatter into them after we return; hand the caller
-            # private copies so the result is immutable from here on.
+            # A running attempt scatters into the arrays it was
+            # dispatched with; the caller gets copies nothing writes to.
             found_out = found_out.copy()
             values_out = {c: arr.copy() for c, arr in values_out.items()}
         # A failing job may have scattered part of its segment before
@@ -803,165 +715,132 @@ class ShardedDeepMapping:
         return PartialResult(found=found_out, values=values_out,
                              failed_mask=failed, shard_errors=shard_errors)
 
-    def _bundled_wait(self, jobs, run_job, submit_job,
-                      deadline: Deadline,
-                      shard_errors: Dict[int, BaseException]) -> bool:
-        """Run a small deadline-armed dispatch as one executor job.
+    def _dispatch(self, jobs, found_out, values_out,
+                  deadline: Optional[Deadline], n_keys: int):
+        """Run the shard plan jobs; return ``(shard_errors, stragglers)``.
 
-        The jobs run back to back on a single worker — the per-job
-        deadline gate inside ``run_job`` still applies — and per-shard
-        failures are recorded exactly as the per-shard lanes record
-        them.  Attribution on expiry is coarser than per-shard
-        submission: jobs the budget never let start fail with
-        ``DeadlineExceeded`` even if their shard was healthy, matching
-        how the serial inline lane already treats tiny undeadlined
-        dispatches as one unit of work.  Returns True when the bundle
-        was still running at the budget's edge (straggler: the caller
-        must stop sharing the output arrays).
+        What one executor hand-off carries follows from the call: with
+        no deadline, no hedger and at most ``_SERIAL_DISPATCH_MAX`` keys
+        the jobs run inline (a hand-off costs more than the work); with
+        a deadline and at most that many keys ONE unit runs every job (a
+        single thread wake-up, still abandonable at the deadline — jobs
+        it never reached fail even when their shard is healthy); else
+        one unit per shard.  One loop then waits for completions up to
+        the earlier of the deadline and the next hedge fire, and gives a
+        unit running past the hedger's delay one backup within the batch
+        budget (zero without a hedger).  The first clean attempt settles
+        a unit — a loser's identical writes are benign, see
+        ``resilience/hedging.py`` — and a unit fails only when every
+        attempt failed.  At the deadline an unsettled job keeps any
+        outcome an attempt recorded, else fails with
+        ``DeadlineExceeded``.  ``stragglers`` says an attempt may still
+        scatter into the arrays it was dispatched with.
         """
-        progress = [0]  # jobs[:progress[0]] have fully settled
-
-        def run_all() -> None:
-            for job in jobs:
-                try:
-                    run_job(job)
-                except Exception as exc:
-                    shard_errors[job[0]] = exc
-                progress[0] += 1
-
-        try:
-            future = submit_job(run_all, deadline=deadline)
-        except TypeError:
-            # Custom strategy whose submit_job() lacks the deadline
-            # capability (pre-resilience signature).
-            future = submit_job(run_all)
-        try:
-            future.result(timeout=max(0.0, deadline.remaining()))
-            return False
-        except DeadlineExceeded:
-            # The executor's dequeue gate failed the bundle before it
-            # started; no job ran.
-            pass
-        except FutureTimeoutError:
-            if future.done():
-                # Finished right at the clock's edge; everything is
-                # already recorded.
-                return False
-            future.cancel()
-        exc_by_job = {
-            job[0]: DeadlineExceeded(
-                f"shard {job[0]} lookup exceeded its deadline")
-            for job in jobs[progress[0]:]
-        }
-        for ordinal, exc in exc_by_job.items():
-            shard_errors.setdefault(ordinal, exc)
-        return not future.done()
-
-    def _hedged_wait(self, jobs, submit_one, deadline: Optional[Deadline],
-                     shard_errors: Dict[int, BaseException]) -> bool:
-        """Completion-driven fan-out wait with hedged backup attempts.
-
-        Every job launches immediately; the loop then waits for
-        *whichever* attempt finishes next (no ordinal-order
-        head-of-line blocking).  A job still running past the
-        :class:`~repro.resilience.hedging.HedgeController`'s adaptive
-        delay — this batch's completed peers set the basis, the
-        cross-batch EWMA seeds cold batches — earns ONE backup attempt
-        within the per-batch budget; the first success settles the job
-        and the loser's identical writes are benign (see
-        ``resilience/hedging.py`` for the idempotency argument).  A job
-        fails only when *every* launched attempt has failed; a deadline
-        expiry cancels what it can and records the rest as
-        ``DeadlineExceeded``.  Returns True when any attempt may still
-        be running at exit (the caller copies the output arrays before
-        exposing a partial result).
-        """
+        shard_errors: Dict[int, BaseException] = {}
+        small = n_keys <= _SERIAL_DISPATCH_MAX
         hedger = self.hedger
-        budget = hedger.batch_budget(len(jobs))
-        state: Dict[int, dict] = {}
-        owner: Dict[Future, int] = {}
-        for job in jobs:
-            future = submit_one(job)
-            state[job[0]] = {"job": job, "settled": False, "errors": [],
-                             "hedged": False, "start": time.monotonic(),
-                             "futures": [future]}
-            owner[future] = job[0]
-        peer_durations: List[float] = []
-        pending = set(owner)
-        unsettled = set(state)
-        while unsettled and pending:
-            if deadline is not None and deadline.expired:
-                break
-            timeout = (None if deadline is None
-                       else max(0.0, deadline.remaining()))
-            hedge_delay = (hedger.hedge_delay_s(peer_durations)
-                           if budget > 0 else None)
-            if hedge_delay is not None:
+        if not jobs or (small and deadline is None and hedger is None):
+            outcomes: Dict[int, Optional[BaseException]] = {}
+            self._run_unit(jobs, found_out, values_out, None, outcomes)
+            return {o: e for o, e in outcomes.items() if e is not None}, False
+        units = [jobs] if small and hedger is None \
+            else [[job] for job in jobs]
+        budget = hedger.batch_budget(len(units)) if hedger is not None else 0
+        # Per unit, every attempt as (future, outcomes-it-fills).
+        attempts: List[List[Tuple[Future, dict]]] = [[] for _ in units]
+        failures: List[List[dict]] = [[] for _ in units]
+        pending: Dict[Future, Tuple[int, dict]] = {}
+
+        def launch(u: int) -> None:
+            outcomes: Dict[int, Optional[BaseException]] = {}
+            future = self.executor.submit_job(
+                self._run_unit, units[u], found_out, values_out, deadline,
+                outcomes, deadline=deadline)
+            attempts[u].append((future, outcomes))
+            pending[future] = (u, outcomes)
+
+        started = []
+        for u in range(len(units)):
+            started.append(time.monotonic())
+            launch(u)
+        peers: List[float] = []
+        unsettled = set(range(len(units)))
+        while unsettled:
+            timeout = inf if deadline is None else deadline.remaining()
+            delay = hedger.hedge_delay_s(peers) if budget > 0 else None
+            if delay is not None:
                 now = time.monotonic()
-                fires = [state[o]["start"] + hedge_delay - now
-                         for o in unsettled if not state[o]["hedged"]]
-                if fires:
-                    soonest = max(0.0, min(fires))
-                    timeout = (soonest if timeout is None
-                               else min(timeout, soonest))
-            done, pending = futures_wait(pending, timeout=timeout,
-                                         return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for future in done:
-                ordinal = owner.pop(future)
-                entry = state[ordinal]
-                exc = future.exception()
-                if exc is None:
-                    if not entry["settled"]:
-                        entry["settled"] = True
-                        unsettled.discard(ordinal)
-                        duration = now - entry["start"]
-                        peer_durations.append(duration)
-                        hedger.record(duration)
-                        if entry["hedged"] \
-                                and future is entry["futures"][-1]:
-                            self.stats.bump("hedges_won", 1)
-                    # A losing success wrote the same bytes the winner
-                    # did; nothing to record.
-                else:
-                    entry["errors"].append(exc)
-                    if not entry["settled"] \
-                            and len(entry["errors"]) >= len(entry["futures"]):
-                        # Every launched attempt failed: a real shard
-                        # failure, not a straggler.
-                        entry["settled"] = True
-                        unsettled.discard(ordinal)
-                        shard_errors[ordinal] = entry["errors"][0]
-            if not unsettled or (deadline is not None and deadline.expired):
-                break
-            if budget > 0:
-                hedge_delay = hedger.hedge_delay_s(peer_durations)
-                if hedge_delay is not None:
-                    now = time.monotonic()
-                    for ordinal in tuple(unsettled):
-                        if budget <= 0:
-                            break
-                        entry = state[ordinal]
-                        if entry["hedged"] \
-                                or now - entry["start"] < hedge_delay:
-                            continue
-                        backup = submit_one(entry["job"])
-                        entry["hedged"] = True
-                        entry["futures"].append(backup)
-                        owner[backup] = ordinal
-                        pending.add(backup)
+                for u in sorted(unsettled):
+                    if budget > 0 and len(attempts[u]) == 1 \
+                            and now - started[u] >= delay:
+                        launch(u)
                         budget -= 1
                         self.stats.bump("hedges_launched", 1)
-        for ordinal in unsettled:
-            # Deadline ran out (or the pool died) with attempts still
-            # outstanding: cancel what has not started, record the rest.
-            for future in state[ordinal]["futures"]:
+                if budget > 0:
+                    timeout = min([timeout] + [
+                        started[u] + delay - now for u in unsettled
+                        if len(attempts[u]) == 1])
+            # Without a hedger every unit has one attempt: nothing to
+            # react to until all of them finish (or the deadline).
+            done, _ = futures_wait(
+                pending, timeout=None if timeout == inf else max(0.0, timeout),
+                return_when=ALL_COMPLETED if hedger is None
+                else FIRST_COMPLETED)
+            now = time.monotonic()
+            for future in done:
+                u, outcomes = pending.pop(future)
+                if u not in unsettled:
+                    continue  # a losing attempt wrote the winner's bytes
+                errors = {o: e for o, e in outcomes.items() if e is not None}
+                refused = future.exception()  # by the dequeue gate
+                if refused is not None:
+                    errors.update((job[0], refused) for job in units[u]
+                                  if job[0] not in outcomes)
+                if errors:
+                    failures[u].append(errors)
+                    if len(failures[u]) == len(attempts[u]):
+                        unsettled.discard(u)  # every attempt failed
+                        shard_errors.update(failures[u][0])
+                    continue
+                unsettled.discard(u)
+                if hedger is not None:
+                    peers.append(now - started[u])
+                    hedger.record(peers[-1])
+                    if future is not attempts[u][0][0]:
+                        self.stats.bump("hedges_won", 1)
+            if deadline is not None and deadline.expired:
+                break
+        for u in unsettled:
+            # Deadline gone with attempts outstanding: cancel what has
+            # not started; a job keeps any outcome an attempt recorded.
+            for future, _ in attempts[u]:
                 future.cancel()
-            shard_errors[ordinal] = DeadlineExceeded(
-                f"shard {ordinal} lookup exceeded its deadline")
-        return any(not future.done()
-                   for entry in state.values()
-                   for future in entry["futures"])
+            for job in units[u]:
+                seen = [outcomes[job[0]] for _, outcomes in attempts[u]
+                        if job[0] in outcomes]
+                if any(e is None for e in seen):
+                    continue
+                shard_errors[job[0]] = seen[0] if seen else DeadlineExceeded(
+                    f"shard {job[0]} lookup exceeded its deadline")
+        # Unsettled units and hedge losers may leave attempts running.
+        return shard_errors, any(not future.done() for future in pending)
+
+    @staticmethod
+    def _run_unit(unit, found_out, values_out,
+                  deadline: Optional[Deadline], outcomes: dict) -> None:
+        """Run plan jobs back to back into the arrays bound at dispatch,
+        recording each job's error (``None`` on success) in ``outcomes``
+        the moment the job ends."""
+        for ordinal, shard, segment, dest in unit:
+            try:
+                if deadline is not None:
+                    deadline.check(f"shard {ordinal} lookup")
+                plan = shard.plan_lookup(segment, presorted=True)
+                plan.execute_into(found_out, values_out, dest)
+            except Exception as exc:
+                outcomes[ordinal] = exc
+            else:
+                outcomes[ordinal] = None
 
     def _prune(
         self,
@@ -1229,8 +1108,7 @@ class ShardedDeepMapping:
         per-shard lookups out with one barrier, then concatenates and
         inverse-permutes the results.  `benchmarks/bench_pipeline.py`
         tracks :meth:`lookup`'s speedup over this baseline, and the
-        parity suite asserts the two stay bit-identical; it also serves
-        executor strategies that lack the ``submit_job`` fan-out lane.
+        parity suite asserts the two stay bit-identical.
         """
         key_cols = self._normalize_keys(keys)
         n = int(np.asarray(key_cols[self.key_names[0]]).size)
@@ -1272,7 +1150,7 @@ class ShardedDeepMapping:
             segment = {name: arr[start:stop] for name, arr in grouped.items()}
             return shard.lookup(segment)
 
-        results = self._map_jobs(run_job, jobs)
+        results = self.executor.map(run_job, jobs)
 
         with self.stats.timing("merge"):
             inverse = np.empty(n, dtype=np.int64)
@@ -1301,23 +1179,16 @@ class ShardedDeepMapping:
         if n == 0:
             return np.zeros(0, dtype=bool)
         with self.stats.timing("route"):
-            shard_ids = router.route(key_cols)
-            order = np.argsort(shard_ids, kind="stable")
-            grouped = {name: np.asarray(arr)[order]
-                       for name, arr in key_cols.items()}
-            bounds = np.searchsorted(shard_ids[order],
-                                     np.arange(router.n_shards + 1))
-        exists_sorted = np.zeros(n, dtype=bool)
+            order, bounds, grouped = self._sorted_route(router, key_cols, n)
+        exists = np.zeros(n, dtype=bool)
         for ordinal in range(router.n_shards):
             start, stop = int(bounds[ordinal]), int(bounds[ordinal + 1])
             shard = shards[ordinal]
             if stop == start or shard is None:
                 continue
             segment = {name: arr[start:stop] for name, arr in grouped.items()}
-            exists_sorted[start:stop] = shard.contains_batch(segment)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.arange(n)
-        return exists_sorted[inverse]
+            exists[order[start:stop]] = shard.contains_batch(segment)
+        return exists
 
     def aux_ratio(self) -> float:
         """Fraction of live rows currently served from auxiliary tables,
@@ -1352,7 +1223,7 @@ class ShardedDeepMapping:
             shard.rebuild(shard_config)
 
         live = [shard for shard in self.shards if shard is not None]
-        self._map_jobs(rebuild_one, live)
+        self.executor.map(rebuild_one, live)
         # A retrain preserves the keyset, so the filters were still
         # correct supersets — but rebuilding them here drops the false
         # positives accumulated by deletes since the last build.
@@ -1379,14 +1250,7 @@ class ShardedDeepMapping:
         """
         fn = functools.partial(self.lookup, keys, deadline=deadline,
                                on_shard_error=on_shard_error)
-        if deadline is None:
-            return self.executor.submit(fn)
-        try:
-            return self.executor.submit(fn, deadline=deadline)
-        except TypeError:
-            # Custom strategy whose submit() lacks the deadline
-            # capability: the lookup itself still honors the budget.
-            return self.executor.submit(fn)
+        return self.executor.submit(fn, deadline=deadline)
 
     def set_executor(self, executor) -> None:
         """Swap the executor strategy (a name from
@@ -1401,10 +1265,6 @@ class ShardedDeepMapping:
             self.executor.close()
         self.executor = new
         self._owns_executor = new is not executor
-
-    def _map_jobs(self, fn, jobs: List) -> List:
-        """Run shard jobs through the executor strategy (job order kept)."""
-        return self.executor.map(fn, jobs)
 
     def close(self) -> None:
         """Shut down the executor strategy's workers (idempotent).
@@ -1743,7 +1603,7 @@ class ShardedDeepMapping:
             return DeepMapping.fit(part, cfg, pool=self.pool,
                                    stats=self.stats, aux_name_prefix=prefix)
 
-        left, right = self._map_jobs(build_half, builds)
+        left, right = self.executor.map(build_half, builds)
         self._register_shard(left)
         self._register_shard(right)
 

@@ -80,24 +80,25 @@ class ExecutorStrategy(Protocol):
         """Run ``fn`` over ``jobs``, returning results in job order."""
         ...
 
-    def submit(self, fn: Callable, *args, **kwargs) -> "Future":
-        """Schedule ``fn(*args, **kwargs)``; return a future of its result."""
+    def submit(self, fn: Callable, *args,
+               deadline: Optional[Deadline] = None, **kwargs) -> "Future":
+        """Schedule ``fn(*args, **kwargs)`` on the coordinator lane;
+        return a future of its result."""
+        ...
+
+    def submit_job(self, fn: Callable, *args,
+                   deadline: Optional[Deadline] = None) -> "Future":
+        """Schedule ``fn(*args)`` on the fan-out lane (the one ``map``
+        uses); the sharded store's lookup dispatcher runs its shard
+        jobs here."""
         ...
 
     def close(self) -> None:
         """Release any worker threads (idempotent)."""
         ...
 
-    # NOTE: the built-in strategies additionally provide
-    # ``submit_job(fn, *args, deadline=None) -> Future`` — a per-job
-    # handle on the *fan-out* lane (``submit`` targets the coordinator
-    # lane), used by the sharded store's pipelined lookup to stream
-    # per-shard results as they finish.  It is a capability rather than
-    # part of this protocol so pre-existing custom strategies keep
-    # satisfying ``isinstance(..., ExecutorStrategy)``; stores fall back
-    # to the barrier path when it is absent.  Both lanes accept an
-    # optional ``deadline`` keyword: a job still queued when its
-    # deadline passes fails with ``DeadlineExceeded`` the moment a
+    # Both lanes take an optional ``deadline``: a job still queued when
+    # its deadline passes fails with ``DeadlineExceeded`` the moment a
     # worker picks it up, so abandoned work cannot wedge a lane.
 
 
@@ -261,7 +262,9 @@ def make_executor(spec: Union[str, ExecutorStrategy, None] = None,
 
     ``None`` means the default: a thread pool (width ``max_workers``),
     degrading to serial execution when ``max_workers`` is 1.  A strategy
-    instance passes through untouched (caller keeps ownership).
+    instance passes through untouched (caller keeps ownership); it must
+    have every protocol member, ``submit_job`` included, or this raises
+    ``TypeError``.
     """
     if spec is None:
         spec = "threads"

@@ -104,6 +104,32 @@ class TestBuildInfoQuery:
             main(["query", out, "--key", "lat=0"])
 
 
+class TestStoreAddressing:
+    def test_bare_path_and_file_url_agree(self, tmp_path, capsys):
+        argv, out = build_args(tmp_path)
+        main(argv)
+        capsys.readouterr()
+        assert main(["info", out]) == 0
+        bare = capsys.readouterr().out
+        assert main(["info", f"file://{out}"]) == 0
+        assert capsys.readouterr().out == bare
+        assert "model:" in bare and "total:" in bare
+
+    def test_missing_store_error_names_schemes(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["info", str(tmp_path / "absent.dm")])
+        message = str(excinfo.value)
+        for scheme in ("file://", "mem://", "zip://"):
+            assert scheme in message
+
+    def test_directory_without_manifest_names_schemes(self, tmp_path):
+        bare = tmp_path / "not-a-store"
+        bare.mkdir()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", str(bare), "--key", "key=1"])
+        assert "file://" in str(excinfo.value)
+
+
 class TestBench:
     def test_bench_prints_comparison(self, capsys):
         assert main(["bench", "--dataset", "synthetic:single-low",

@@ -130,7 +130,7 @@ class TestDeepMappingWithSparseKeys:
         dm = DeepMapping.fit(table, fast_config(epochs=2))
         path = str(tmp_path / "sparse.dm")
         dm.save(path)
-        clone = DeepMapping.load(path)
+        clone = DeepMapping.open(path)
         assert isinstance(clone.exist, SparseExistenceIndex)
         assert clone.lookup({"key": keys}).found.all()
 

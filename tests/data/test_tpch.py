@@ -1,5 +1,9 @@
 """Tests for the TPC-H generator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,29 @@ class TestGenerate:
         a = tpch.generate("orders", scale=0.2, seed=3)
         b = tpch.generate("orders", scale=0.2, seed=3)
         assert a.equals(b)
+
+    @pytest.mark.parametrize("family,table", [("tpch", "lineitem"),
+                                              ("tpcds", "catalog_sales")])
+    def test_deterministic_across_processes(self, family, table):
+        # str hashes are salted per process; generation must not be.
+        script = (
+            "import hashlib, sys\n"
+            "from repro.data import tpch, tpcds\n"
+            f"data = {family}.generate({table!r}, scale=0.2, seed=0)\n"
+            "digest = hashlib.sha256()\n"
+            "for name in data.column_names:\n"
+            "    digest.update(name.encode())\n"
+            "    digest.update(data.column(name).tobytes())\n"
+            "sys.stdout.write(digest.hexdigest())\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        digests = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            digests.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(digests) == 1
 
     def test_seed_changes_data(self):
         a = tpch.generate("orders", scale=0.2, seed=3)

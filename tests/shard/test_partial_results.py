@@ -8,11 +8,13 @@ Exercised deterministically and as a hypothesis property over random
 key subsets and random victim shards.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.resilience import (DeadlineExceeded, PartialResult,
+from repro.resilience import (Deadline, DeadlineExceeded, PartialResult,
                               PartialResultError)
 from repro.shard import ShardedDeepMapping, ShardingConfig
 from repro.testing import break_shard
@@ -120,6 +122,66 @@ class TestTimeoutClassification:
         assert isinstance(error, TimeoutError)
         assert not isinstance(error, DeadlineExceeded)
         assert "socket read timed out" in str(error)
+
+    @pytest.mark.parametrize("n", [400, 5000])
+    def test_deadline_armed_timeout_is_a_shard_error(self, store, all_keys,
+                                                    n):
+        # With a deadline the jobs run on the executor: 400 keys as one
+        # unit for every shard, 5000 keys as one unit per shard.
+        keys = np.random.default_rng(n).choice(all_keys, n)
+        restore = break_shard(
+            store, 1,
+            exc_factory=lambda: TimeoutError("socket read timed out"))
+        try:
+            got = store.lookup({"key": keys}, deadline=Deadline(30.0))
+        finally:
+            restore()
+        assert isinstance(got, PartialResult)
+        assert set(got.shard_errors) == {1}
+        error = got.shard_errors[1]
+        assert isinstance(error, TimeoutError)
+        assert not isinstance(error, DeadlineExceeded)
+        assert "socket read timed out" in str(error)
+
+
+class TestStragglerIsolation:
+    @pytest.fixture(scope="class")
+    def threaded_store(self):
+        from repro.data import synthetic
+        table = synthetic.multi_column(1200, "low", seed=3)
+        built = ShardedDeepMapping.fit(
+            table, fast_config(epochs=5),
+            ShardingConfig(n_shards=4, strategy="range", max_workers=4,
+                           on_shard_error="partial"),
+        )
+        yield built
+        built.close()
+
+    @pytest.mark.parametrize("n", [400, 8000])
+    def test_straggler_never_writes_into_the_returned_result(
+            self, threaded_store, all_keys, n):
+        # The wedge sits in plan_lookup, before the job scatters: once
+        # released, the job must write into the arrays it was dispatched
+        # with, never into the copies the caller already holds.
+        keys = np.random.default_rng(n).choice(all_keys, n)
+        gate = threading.Event()
+        restore = break_shard(threaded_store, 1, delay_s=10, release=gate)
+        try:
+            got = threaded_store.lookup({"key": keys},
+                                        deadline=Deadline(0.2))
+            found = got.found.copy()
+            values = {c: arr.copy() for c, arr in got.values.items()}
+            assert isinstance(got, PartialResult)
+            assert isinstance(got.shard_errors[1], DeadlineExceeded)
+            assert not (got.found & got.failed_mask).any()
+        finally:
+            gate.set()
+            restore()
+            threaded_store.close()  # joins the released straggler
+        np.testing.assert_array_equal(got.found, found)
+        for column, arr in values.items():
+            np.testing.assert_array_equal(got.values[column], arr)
+        assert not (got.found & got.failed_mask).any()
 
 
 class TestPartialParityProperty:

@@ -141,76 +141,26 @@ class TestEmptyShards:
 
 
 class TestExecutorFallback:
-    def test_strategy_without_submit_job_uses_barrier(self, table):
+    """There is no fallback lane: a strategy must satisfy the whole
+    ExecutorStrategy protocol, and every named one matches the reference."""
+
+    def test_strategy_without_submit_job_is_rejected(self, table):
         class MinimalStrategy:
             name = "minimal"
 
             def map(self, fn, jobs):
                 return [fn(job) for job in jobs]
 
-            def submit(self, fn, *args, **kwargs):
-                from concurrent.futures import Future
-                future = Future()
-                future.set_result(fn(*args, **kwargs))
-                return future
+            def submit(self, fn, *args, deadline=None, **kwargs):
+                raise AssertionError("never scheduled")
 
             def close(self):
                 pass
 
-        store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=3),
-            ShardingConfig(n_shards=3, executor=MinimalStrategy()))
-        rng = np.random.default_rng(3)
-        live = table.column("key")
-        query = {"key": rng.choice(live, 200)}
-        reference = ShardedDeepMapping.lookup_barrier(store, query)
-        assert_same(store.lookup(query), reference, store.value_names)
-
-    def test_pre_deadline_submit_job_signature_still_serves(self, table):
-        # Regression: a deadline-carrying lookup used to call
-        # submit_job(..., deadline=...) unconditionally, so a custom
-        # strategy with the documented pre-resilience signature
-        # ``submit_job(fn, *args)`` raised TypeError on every
-        # multi-shard lookup.
-        from concurrent.futures import Future
-
-        from repro.resilience import Deadline
-
-        class LegacyStrategy:
-            name = "legacy"
-
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
-
-            def _resolve(self, fn, *args, **kwargs):
-                future = Future()
-                try:
-                    future.set_result(fn(*args, **kwargs))
-                except BaseException as exc:
-                    future.set_exception(exc)
-                return future
-
-            def submit(self, fn, *args):
-                return self._resolve(fn, *args)
-
-            def submit_job(self, fn, *args):
-                return self._resolve(fn, *args)
-
-            def close(self):
-                pass
-
-        store = ShardedDeepMapping.fit(
-            table, fast_config(epochs=3),
-            ShardingConfig(n_shards=3, executor=LegacyStrategy()))
-        rng = np.random.default_rng(6)
-        live = table.column("key")
-        query = {"key": rng.choice(live, 200)}
-        reference = store.lookup_barrier(query)
-        deadline = Deadline(30.0)
-        assert_same(store.lookup(query, deadline=deadline), reference,
-                    store.value_names)
-        assert_same(store.lookup_async(query, deadline=deadline).result(),
-                    reference, store.value_names)
+        with pytest.raises(TypeError, match="ExecutorStrategy"):
+            ShardedDeepMapping.fit(
+                table, fast_config(epochs=3),
+                ShardingConfig(n_shards=3, executor=MinimalStrategy()))
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_named_strategies_parity(self, table, executor):
