@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -105,15 +106,33 @@ class TestBuildInfoQuery:
 
 
 class TestStoreAddressing:
-    def test_bare_path_and_file_url_agree(self, tmp_path, capsys):
+    def test_bare_path_behaves_like_file_url(self, tmp_path, capsys):
         argv, out = build_args(tmp_path)
         main(argv)
         capsys.readouterr()
-        assert main(["info", out]) == 0
-        bare = capsys.readouterr().out
-        assert main(["info", f"file://{out}"]) == 0
-        assert capsys.readouterr().out == bare
-        assert "model:" in bare and "total:" in bare
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["info", out]) == 0
+            first = capsys.readouterr().out
+            assert main(["info", out]) == 0
+            second = capsys.readouterr().out
+            assert main(["info", f"file://{out}"]) == 0
+            url = capsys.readouterr().out
+        assert not [w for w in caught
+                    if issubclass(w.category, DeprecationWarning)]
+        assert first == second == url
+        assert "model:" in first and "total:" in first
+
+    def test_url_dispatch_does_not_warn(self, tmp_path, capsys):
+        argv, out = build_args(tmp_path)
+        main(argv)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["info", f"file://{out}"]) == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, DeprecationWarning)]
+        assert "model:" in capsys.readouterr().out
 
     def test_missing_store_error_names_schemes(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
